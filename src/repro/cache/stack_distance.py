@@ -18,16 +18,19 @@ periodic special case can be cross-validated:
   per-access Python loop: each reuse pair becomes an *arc* ``(j, next(j))``,
   the distance is ``next(j) - j`` minus the number of arcs strictly nested
   inside, and nested-arc counting is "count smaller elements to the right"
-  of the arc-end sequence — computed by a level-by-level vectorised merge
-  sort (``O(N log^2 N)`` NumPy work, no Python-level per-access steps).  This
-  is the fast path behind :func:`stack_distance_histogram` and the
+  of the arc-end sequence.  Both steps sort composite ``value << shift |
+  index`` keys: one sort finds the arcs, and a bottom-up merge counts the
+  nesting in ``log2(N / 16)`` levels, each an in-place row sort of sorted
+  pairs plus a few linear NumPy passes — no Python-level per-access steps.
+  This is the fast path behind :func:`stack_distance_histogram` and the
   single-pass LRU capacity sweep in :mod:`repro.sim`.
 * :func:`stack_distance_histogram` and :func:`hit_counts` — aggregate forms
   used by the miss-ratio-curve construction in :mod:`repro.cache.mrc`.
 * :class:`StackDistanceStream` — the *chunked* form of the vectorised
   algorithm: exact distances for a trace delivered in segments, carrying
   ``O(footprint)`` state between segments so arbitrarily long (for example
-  ``numpy.memmap``-backed) traces are processed in bounded memory.  This is
+  ``numpy.memmap``-backed) traces are processed in bounded memory, at one
+  vectorised pass over ``footprint + segment`` accesses per segment.  This is
   the distance source of the batch partitioned-LRU replay data plane in
   :mod:`repro.sim.partitioned`.
 
@@ -140,71 +143,108 @@ def stack_distances(trace: Sequence[int] | np.ndarray) -> np.ndarray:
     return out
 
 
+#: Width of the blocks the nested-arc counter handles pairwise before merging.
+_BASE = 16
+
+
+def _index_keys(values: np.ndarray, size: int) -> tuple[np.ndarray, int]:
+    """Sort keys ``value << shift | index`` for ``size >= values.size`` slots.
+
+    The keys are distinct and order like ``(value, index)``: one plain (fast,
+    unstable) sort of them is a stable sort of ``values`` that carries each
+    index along.  Slots past the values hold a sentinel one above the
+    largest value, so they sort last.  Values too wide to sit beside
+    ``shift`` index bits in 62 bits are replaced by their dense ranks.
+    """
+    shift = max(size - 1, 1).bit_length()
+    low = int(values.min())
+    span = int(values.max()) - low + 1
+    if span.bit_length() + shift > 62:
+        values = np.unique(values, return_inverse=True)[1]
+        low, span = 0, int(values.max()) + 1
+    keys = np.arange(size, dtype=np.int64)
+    keys[: values.size] |= (values - low) << shift
+    keys[values.size :] |= np.int64(span) << shift
+    return keys, shift
+
+
 def _count_smaller_right(values: np.ndarray) -> np.ndarray:
     """For each element, the number of *strictly smaller* elements to its right.
 
-    Merge-sort decomposition without the merge: every pair ``(i, j)`` with
-    ``i < j`` lands at exactly one level in sibling halves of one block, so
-    the count splits into per-level contributions "smaller elements in my
-    block's right half" — and the levels are mutually independent, each
-    reading the *original* array.  The smallest levels (blocks up to 32
-    elements) collapse into one brute-force pairwise pass; every wider level
-    is one row-wise :func:`numpy.sort` of the right halves plus a single
-    flat :func:`numpy.searchsorted` (block rows are made globally monotone
-    with per-block offsets, so one call ranks every left-half element at
-    once, and the queries need no sorting at all).  Requires distinct values
-    (callers pass last-access positions, which are unique); the array is
-    padded to a power of two with sentinels that sort last.
+    Bottom-up merge counting on :func:`_index_keys`: for ``i < j`` the key
+    of ``j`` is smaller exactly when ``values[j] < values[i]``, so ties need
+    no special case.  Blocks of :data:`_BASE` keys are counted pairwise and
+    sorted; every wider level sorts each pair of sibling blocks in place,
+    and a left-half key's count for that level is the number of right-half
+    keys before it in the sorted pair — a flat ``cumsum`` of "the index bit
+    says right half" minus the pair's base, added at the key's index.  The
+    working set is a few arrays padded only to a multiple of :data:`_BASE`
+    (sentinel keys sort last); a ragged last pair is sorted on its own.
     """
     n = values.size
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    size = 1
-    while size < n:
-        size *= 2
-    # Normalise to small non-negative ints so the per-block offsets below
-    # cannot overflow: offsets reach (blocks - 1) * stride < n * (span + 1).
-    low = np.int64(values.min())
-    span = np.int64(values.max()) - low + np.int64(2)  # one sentinel slot past the largest value
-    vals = np.full(size, span - 1, dtype=np.int64)
-    vals[:n] = values - low
+    size = -(-n // _BASE) * _BASE
+    keys, shift = _index_keys(values, size)
 
-    # Base case: all pairs inside 32-element blocks at once.  Sentinels never
-    # count as smaller (they are the maximum), and counts at padded positions
-    # are discarded by the final [:n].
-    base = min(size, 32)
-    rows = vals.reshape(-1, base)
-    to_the_right = np.triu(np.ones((base, base), dtype=bool), 1)[None, :, :]  # [i, j]: j > i
-    larger = rows[:, :, None] > rows[:, None, :]  # [b, i, j]: v_i > v_j
-    counts = (larger & to_the_right).sum(axis=2).reshape(-1).astype(np.int64)
-    width = base
+    # Base case: all pairs inside each block, one diagonal offset at a time.
+    rows = keys.reshape(-1, _BASE)
+    smaller = np.zeros(rows.shape, dtype=np.uint8)
+    for offset in range(1, _BASE):
+        smaller[:, :-offset] += rows[:, :-offset] > rows[:, offset:]
+    counts = smaller.reshape(-1).astype(np.int64)
+    rows.sort(axis=1)
+
+    index = np.empty(size, dtype=np.int64)
+    right = np.empty(size, dtype=np.int64)
+    left = np.empty(size, dtype=bool)
+    width, level = _BASE, _BASE.bit_length() - 1  # width == 1 << level
     while width < size:
         pair = 2 * width
         blocks = size // pair
-        rows = vals.reshape(blocks, pair)
-        offsets = np.arange(blocks, dtype=np.int64) * span
-        right = np.sort(rows[:, width:], axis=1) + offsets[:, None]
-        queries = rows[:, :width] + offsets[:, None]
-        ranks = np.searchsorted(right.reshape(-1), queries.reshape(-1)).astype(np.int64).reshape(blocks, width)
-        ranks -= np.arange(blocks, dtype=np.int64)[:, None] * width  # drop earlier blocks' right halves
-        counts.reshape(blocks, pair)[:, :width] += ranks
-        width = pair
+        full = blocks * pair
+        keys[:full].reshape(blocks, pair).sort(axis=1)
+        if size - full > width:
+            keys[full:].sort()
+        np.right_shift(keys, level, out=right)  # the index bit that marks the right half
+        right &= 1
+        np.equal(right, 0, out=left)
+        np.cumsum(right, out=right)
+        # Each full pair before this one holds `width` right-half keys.
+        right[:full].reshape(blocks, pair)[:] -= (np.arange(blocks, dtype=np.int64) * width)[:, None]
+        right[full:] -= blocks * width
+        right *= left
+        np.bitwise_and(keys, (1 << shift) - 1, out=index)
+        np.add.at(counts, index, right)
+        width, level = pair, level + 1
     return counts[:n]
+
+
+def _item_runs(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions grouped by item, each group in access order.
+
+    Returns ``(order, same)``: sorting :func:`_index_keys` lists the
+    positions of each item together and in access order, and
+    ``same[i]`` says ``order[i]`` and ``order[i + 1]`` access one item.
+    """
+    keys, shift = _index_keys(arr, arr.size)
+    keys.sort()
+    order = keys & np.int64((1 << shift) - 1)
+    keys >>= shift
+    return order, keys[1:] == keys[:-1]
 
 
 def _reuse_arcs(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reuse arcs ``(start, end)`` of a trace, sorted by start position.
 
-    Adjacent equal items after a stable sort are consecutive accesses of the
-    same item; each such pair is one arc.
+    Consecutive accesses of one item are an arc; a scatter of arc ends to
+    their starts lists the arcs in start order.
     """
-    order = np.argsort(arr, kind="stable")
-    sorted_items = arr[order]
-    same = sorted_items[1:] == sorted_items[:-1]
-    starts = order[:-1][same]
-    ends = order[1:][same]
-    by_start = np.argsort(starts)
-    return starts[by_start], ends[by_start]
+    order, same = _item_runs(arr)
+    following = np.full(arr.size, -1, dtype=np.int64)
+    following[order[:-1][same]] = order[1:][same]
+    starts = np.flatnonzero(following >= 0)
+    return starts, following[starts]
 
 
 def stack_distances_vectorized(trace: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -246,23 +286,10 @@ def stack_distances_with_previous(trace: Sequence[int] | np.ndarray) -> tuple[np
     if n == 0:
         return out, previous
     arc_start, arc_end = _reuse_arcs(arr)
-    if arc_start.size == 0:
-        return out, previous
     nested = _count_smaller_right(arc_end)
     out[arc_end] = arc_end - arc_start - nested
     previous[arc_end] = arc_start
     return out, previous
-
-
-def _count_larger_left(values: np.ndarray) -> np.ndarray:
-    """For each element, the number of *strictly larger* elements to its left.
-
-    Reduction to :func:`_count_smaller_right`: negating flips the order and
-    reversing flips left/right, so larger-to-the-left of ``a`` is
-    smaller-to-the-right of ``-a`` reversed (same distinct-values
-    requirement; callers pass last-access positions, which are unique).
-    """
-    return _count_smaller_right(-values[::-1])[::-1]
 
 
 class StackDistanceStream:
@@ -271,19 +298,20 @@ class StackDistanceStream:
     :meth:`feed` returns the stack distances of a chunk's accesses measured
     over the *whole* stream consumed so far — bit-identical to running
     :func:`stack_distances_vectorized` over the concatenation of every chunk
-    — while carrying only ``O(footprint)`` state between chunks.  Long
+    — while carrying only ``O(footprint)`` state between chunks: each item
+    seen so far with its last access position, in recency order.  Long
     (``numpy.memmap``-backed) traces therefore stream through in bounded
-    memory: per chunk the cost is one vectorised in-chunk distance pass plus
-    ``O((footprint + chunk) log)`` NumPy work for the cross-chunk reuses.
+    memory, at one kernel call over ``footprint + chunk`` accesses per chunk.
 
-    The cross-chunk correction uses the same arc identity as the one-shot
-    algorithm.  An access at chunk position ``t`` whose previous access ``p``
-    lies in an earlier chunk has distance ``1 + |{items last accessed in
-    (p, t)}|``, split into (a) items with an in-chunk access before ``t``
-    (the rank of ``t`` among in-chunk first occurrences), plus (b) carried
-    items whose pre-chunk last access exceeds ``p`` (a sorted-array rank),
-    minus (c) carried items counted by both — an offline dominance count over
-    the cross-chunk reuses themselves (:func:`_count_larger_left`).
+    The carried items go in front of the chunk as virtual accesses in order
+    of last access.  A chunk access whose previous access lies in an earlier
+    chunk then closes an arc from its item's virtual access, and the
+    distinct items inside that arc are exactly those touched between the two
+    real accesses: carried items used more recently, plus chunk items before
+    it — so the one-shot arc identity gives its whole-stream distance, and
+    items new to the stream stay :data:`COLD`.  The virtual accesses'
+    outputs are dropped; the accesses no later access points back to are
+    the new carried state, already in recency order.
 
     Examples
     --------
@@ -295,7 +323,7 @@ class StackDistanceStream:
     """
 
     def __init__(self) -> None:
-        self._labels = np.zeros(0, dtype=np.int64)  # distinct items, sorted
+        self._labels = np.zeros(0, dtype=np.int64)  # distinct items, least recently used first
         self._positions = np.zeros(0, dtype=np.int64)  # last global access position, aligned to _labels
         self._clock = 0
 
@@ -312,8 +340,8 @@ class StackDistanceStream:
     def state_dict(self) -> dict:
         """Picklable snapshot of the carried state (for checkpoint/resume).
 
-        The whole carried state is the sorted distinct labels, their aligned
-        last-access positions, and the clock — restoring it and continuing to
+        The whole carried state is the labels, their aligned last-access
+        positions, and the clock — restoring it and continuing to
         :meth:`feed` is bit-identical to never having stopped.
         """
         return {
@@ -323,9 +351,15 @@ class StackDistanceStream:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore carried state captured by :meth:`state_dict`."""
-        self._labels = np.asarray(state["labels"], dtype=np.int64).copy()
-        self._positions = np.asarray(state["positions"], dtype=np.int64).copy()
+        """Restore carried state captured by :meth:`state_dict`.
+
+        The pairs are put in recency order, so states saved in any order of
+        labels (such as label-sorted) load too.
+        """
+        positions = np.asarray(state["positions"], dtype=np.int64)
+        order = np.argsort(positions, kind="stable")
+        self._labels = np.asarray(state["labels"], dtype=np.int64)[order]
+        self._positions = positions[order]
         self._clock = int(state["clock"])
 
     def feed(self, chunk: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -334,47 +368,20 @@ class StackDistanceStream:
         Cold accesses (first-ever across *all* chunks) report :data:`COLD`.
         """
         arr = _as_trace(chunk)
-        n = int(arr.size)
-        out = stack_distances_vectorized(arr)
-        if n == 0:
-            return out
-        start = self._clock
-        uniq, first_idx = np.unique(arr, return_index=True)
-
-        # Previous (pre-chunk) global position of every distinct chunk item.
-        if self._labels.size:
-            loc = np.minimum(np.searchsorted(self._labels, uniq), self._labels.size - 1)
-            found = self._labels[loc] == uniq
-            prev = np.where(found, self._positions[loc], np.int64(-1))
-        else:
-            loc = np.zeros(uniq.size, dtype=np.intp)
-            found = np.zeros(uniq.size, dtype=bool)
-            prev = np.full(uniq.size, -1, dtype=np.int64)
-
-        reused = prev >= 0
-        if reused.any():
-            active = np.sort(self._positions)  # one last position per carried item
-            order = np.argsort(first_idx[reused])  # cross-chunk reuses in chunk order
-            q_first = first_idx[reused][order]
-            q_prev = prev[reused][order]
-            distinct_before = np.searchsorted(np.sort(first_idx), q_first)
-            carried_above = active.size - np.searchsorted(active, q_prev, side="right")
-            dominated = _count_larger_left(q_prev)
-            out[q_first] = 1 + distinct_before + carried_above - dominated
-
-        # Advance the carried state to this chunk's last occurrences.
-        last_global = start + (n - 1) - np.unique(arr[::-1], return_index=True)[1]
-        if found.any():
-            self._positions[loc[found]] = last_global[found]
-        new = ~found
-        if new.any():
-            labels = np.concatenate([self._labels, uniq[new]])
-            positions = np.concatenate([self._positions, last_global[new]])
-            merge = np.argsort(labels, kind="stable")
-            self._labels = labels[merge]
-            self._positions = positions[merge]
-        self._clock = start + n
-        return out
+        if arr.size == 0:
+            return np.zeros(0, dtype=np.int64)
+        carried = self._labels.size
+        joined = np.concatenate([self._labels, arr])
+        distances, previous = stack_distances_with_previous(joined)
+        last = np.ones(joined.size, dtype=bool)
+        last[previous[previous >= 0]] = False
+        ends = np.flatnonzero(last)
+        still_carried = int(np.searchsorted(ends, carried))
+        self._labels = joined[ends]
+        fresh = ends[still_carried:] + (self._clock - carried)
+        self._positions = np.concatenate([self._positions[ends[:still_carried]], fresh])
+        self._clock += int(arr.size)
+        return distances[carried:]
 
 
 def stack_distance_histogram(

@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from ..cache.mrc import MissRatioCurve, mrc_from_trace
+from ..cache.stack_distance import _item_runs
 from ..engine.job import PROFILE_MODES, check_choice
 from ..engine.runner import check_workers, pool_map
 from ..obs import get_registry, span
@@ -175,21 +176,27 @@ def run_jobs(jobs: list[ProfileJob], *, workers: int = 1) -> list[ProfileResult]
 # --------------------------------------------------------------------------- #
 # Chunked streaming: mergeable partials over one long trace
 # --------------------------------------------------------------------------- #
+def _no_accesses() -> tuple[np.ndarray, np.ndarray]:
+    return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+
+
 @dataclass
 class ChunkPartial:
     """Mergeable profiling state of one contiguous chunk of a trace.
 
     ``histogram`` holds only the reuse times whose *previous* access lies in
     the same chunk; first accesses per item are deferred to the merge, which
-    resolves them against the preceding chunks' ``last_access`` maps.  All
-    positions are global trace positions.
+    resolves them against the preceding chunks' last accesses.
+    ``first_access`` and ``last_access`` are ``(items, positions)`` arrays
+    listing every distinct item of the chunk once, with the global position
+    of its first (respectively last) access there.
     """
 
     offset: int
     length: int
     histogram: ReuseTimeHistogram
-    first_access: dict[int, int] = field(default_factory=dict)
-    last_access: dict[int, int] = field(default_factory=dict)
+    first_access: tuple[np.ndarray, np.ndarray] = field(default_factory=_no_accesses)
+    last_access: tuple[np.ndarray, np.ndarray] = field(default_factory=_no_accesses)
 
 
 def chunk_partial(
@@ -205,55 +212,44 @@ def chunk_partial(
     n = arr.size
     if n == 0:
         return ChunkPartial(offset=int(offset), length=0, histogram=histogram)
-    # Previous occurrence of each reference within the chunk, via a stable
-    # sort: equal items end up adjacent in access order.
-    order = np.argsort(arr, kind="stable")
-    sorted_items = arr[order]
-    same = sorted_items[1:] == sorted_items[:-1]
-    prev = np.full(n, -1, dtype=np.int64)
-    prev[order[1:][same]] = order[:-1][same]
-
-    repeat = prev >= 0
-    histogram.record_reuses(np.nonzero(repeat)[0] - prev[repeat])
-
-    first_positions = np.nonzero(~repeat)[0]
-    last_mask = np.ones(n, dtype=bool)
-    last_mask[order[:-1][same]] = False
-    last_positions = np.nonzero(last_mask)[0]
+    order, same = _item_runs(arr)
+    histogram.record_reuses(np.diff(order)[same])
+    first = order[np.insert(~same, 0, True)]
+    last = order[np.append(~same, True)]
     offset = int(offset)
-    first_access = {int(arr[i]): offset + int(i) for i in first_positions}
-    last_access = {int(arr[i]): offset + int(i) for i in last_positions}
     return ChunkPartial(
         offset=offset,
         length=int(n),
         histogram=histogram,
-        first_access=first_access,
-        last_access=last_access,
+        first_access=(arr[first], first + offset),
+        last_access=(arr[last], last + offset),
     )
 
 
 def merge_partials(partials: list[ChunkPartial]) -> ReuseTimeHistogram:
-    """Merge chunk partials (sorted by offset) into the sequential-pass histogram."""
+    """Merge chunk partials (in any order) into the sequential-pass histogram."""
     if not partials:
         raise ValueError("need at least one chunk partial to merge")
-    ordered = sorted(partials, key=lambda p: p.offset)
-    first = ordered[0]
     merged = ReuseTimeHistogram(
-        fine_limit=first.histogram.fine_limit,
-        coarse_per_octave=first.histogram.coarse_per_octave,
+        fine_limit=partials[0].histogram.fine_limit,
+        coarse_per_octave=partials[0].histogram.coarse_per_octave,
     )
-    last_seen: dict[int, int] = {}
-    for partial in ordered:
+    for partial in partials:
         merged.merge(partial.histogram)
-        # Resolve this chunk's first accesses against everything before it;
-        # each item only reads its own last_seen entry, so order is free.
-        for item, position in partial.first_access.items():
-            previous = last_seen.get(item)
-            if previous is None:
-                merged.record_cold()
-            else:
-                merged.record_reuse(position - previous)
-        last_seen.update(partial.last_access)
+    # Sort every chunk's first and last accesses by (item, position), a
+    # first access ahead of a last access at the same position.  An item's
+    # first access in a chunk then directly follows its last access in the
+    # latest earlier chunk that touched it — the access a sequential pass
+    # would measure the reuse from — and any other first access is cold.
+    accesses = [partial.first_access for partial in partials] + [partial.last_access for partial in partials]
+    items = np.concatenate([access[0] for access in accesses])
+    positions = np.concatenate([access[1] for access in accesses])
+    is_last = np.arange(items.size) >= sum(partial.first_access[0].size for partial in partials)
+    order = np.lexsort((is_last, positions, items))
+    items, positions, is_last = items[order], positions[order], is_last[order]
+    reused = np.flatnonzero(~is_last[1:] & (items[1:] == items[:-1])) + 1
+    merged.record_reuses(positions[reused] - positions[reused - 1])
+    merged.record_cold(int(np.count_nonzero(~is_last)) - reused.size)
     return merged
 
 

@@ -102,8 +102,8 @@ class ReuseTimeHistogram:
         if t.size and int(t.min()) < 1:
             raise ValueError("reuse times must be >= 1")
         out = t - 1
-        coarse = t > self.fine_limit
-        if np.any(coarse):
+        coarse = np.flatnonzero(t > self.fine_limit)
+        if coarse.size:
             tc = t[coarse]
             # frexp is exact for integers below 2^53: bit_length == exponent.
             _, exponent = np.frexp(tc.astype(np.float64))
@@ -122,6 +122,14 @@ class ReuseTimeHistogram:
         k = (self.fine_limit.bit_length() - 1) + octave
         width = (1 << k) // self.coarse_per_octave
         return (1 << k) + (j + 1) * width - 1
+
+    def bucket_upper_edges(self, indices: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`bucket_upper_edge` (bit-identical to the scalar form)."""
+        index = np.asarray(indices, dtype=np.int64)
+        octave, j = np.divmod(np.maximum(index - self.fine_limit, 0), self.coarse_per_octave)
+        start = np.int64(1) << ((self.fine_limit.bit_length() - 1) + octave)
+        coarse = start + (j + 1) * (start // self.coarse_per_octave) - 1
+        return np.where(index < self.fine_limit, index + 1, coarse)
 
     # ----------------------------------------------------------------- #
     # Recording and merging
@@ -144,9 +152,9 @@ class ReuseTimeHistogram:
         t = np.asarray(reuse_times, dtype=np.int64)
         if t.size == 0:
             return
-        indices = self.bucket_indices(t)
-        self._ensure(int(indices.max()))
-        np.add.at(self.counts, indices, 1)
+        binned = np.bincount(self.bucket_indices(t))
+        self._ensure(binned.size - 1)
+        self.counts[: binned.size] += binned
         self.accesses += int(t.size)
 
     def record_cold(self, n: int = 1) -> None:
@@ -196,29 +204,20 @@ class ReuseTimeHistogram:
         if limit < 1:
             raise ValueError(f"max_cache_size must be >= 1, got {max_cache_size}")
 
+        # A nonzero bucket's survival is the share of accesses (cold ones
+        # included) whose reuse time exceeds the previous bucket's edge.
+        # Cache size c takes the survival of the first bucket whose AET
+        # integral (running sum of survival * width) exceeds c, or the cold
+        # floor past the last bucket.  The integral is a sequential cumsum,
+        # so each float is the one a scalar walk over the buckets adds up.
         n = float(self.accesses)
-        tail = int(self.counts.sum())
-        ratios: list[float] = []
-        integral = 0.0
-        prev_edge = 0
-        for index in np.nonzero(self.counts)[0]:
-            count = int(self.counts[index])
-            survival = (self.cold + tail) / n
-            # Cache sizes whose AET landed exactly on the previous edge see the
-            # post-edge survival probability.
-            while len(ratios) < limit and integral >= len(ratios) + 1:
-                ratios.append(survival)
-            edge = self.bucket_upper_edge(int(index))
-            width = edge - prev_edge
-            while len(ratios) < limit and integral + survival * width > len(ratios) + 1:
-                ratios.append(survival)
-            integral += survival * width
-            tail -= count
-            prev_edge = edge
-        floor = self.cold / n
-        while len(ratios) < limit:
-            ratios.append(floor if self.cold else 0.0)
-        return MissRatioCurve(ratios=tuple(ratios), accesses=int(self.accesses))
+        buckets = np.flatnonzero(self.counts)
+        counts = self.counts[buckets]
+        survival = (self.cold + (int(counts.sum()) - (np.cumsum(counts) - counts))) / n
+        integral = np.cumsum(survival * np.diff(self.bucket_upper_edges(buckets), prepend=0))
+        first = np.searchsorted(integral, np.arange(1, limit + 1), side="right")
+        ratios = np.append(survival, self.cold / n)[first]
+        return MissRatioCurve(ratios=tuple(ratios.tolist()), accesses=int(self.accesses))
 
 
 class ReuseTimeProfiler:

@@ -63,13 +63,20 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """The splitmix64 finaliser — a cheap, well-mixed 64-bit hash (vectorised)."""
-    z = x.astype(np.uint64, copy=True)
+#: Elements hashed per pass: a block and its scratch stay in cache across
+#: the in-place passes of the finaliser.
+_HASH_BLOCK = 1 << 16
+
+
+def _splitmix64(z: np.ndarray, scratch: np.ndarray) -> None:
+    """The splitmix64 finaliser, in place on a ``uint64`` array (``scratch`` has its size)."""
     z += np.uint64(_GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(z, np.uint64(shift), out=scratch)
+        z ^= scratch
+        z *= np.uint64(multiplier)
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
 
 
 def spatial_hash(items: Sequence[int] | np.ndarray, seed: int = 0) -> np.ndarray:
@@ -79,10 +86,17 @@ def spatial_hash(items: Sequence[int] | np.ndarray, seed: int = 0) -> np.ndarray
     is what makes the sampling *spatial*: either every reference to an item is
     in the sub-trace or none is.
     """
-    arr = np.asarray(items).astype(np.uint64, copy=False)
+    hashed = np.asarray(items).astype(np.uint64)
     tweak = np.uint64((0xABCD0123 + int(seed) * _GOLDEN) & _MASK64)
-    hashed = _splitmix64((arr << np.uint64(20)) ^ tweak)
-    return hashed & np.uint64(HASH_SPACE - 1)
+    flat = hashed.reshape(-1)
+    scratch = np.empty(min(flat.size, _HASH_BLOCK), dtype=np.uint64)
+    for start in range(0, flat.size, _HASH_BLOCK):
+        block = flat[start : start + _HASH_BLOCK]
+        block <<= np.uint64(20)
+        block ^= tweak
+        _splitmix64(block, scratch[: block.size])
+        block &= np.uint64(HASH_SPACE - 1)
+    return hashed
 
 
 @lru_cache(maxsize=256)

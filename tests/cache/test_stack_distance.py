@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cache import (
     COLD,
@@ -17,6 +21,7 @@ from repro.cache import (
     stack_distances_vectorized,
     stack_distances_with_previous,
 )
+from repro.cache.stack_distance import _BASE, _count_smaller_right, _index_keys, _reuse_arcs
 from repro.core import random_permutation, stack_distances as periodic_stack_distances
 from repro.trace import PeriodicTrace, zipfian_trace
 
@@ -202,3 +207,117 @@ class TestStackDistancesWithPrevious:
             suffix = stack_distances_vectorized(trace[start:])
             adjusted = np.where(previous[start:] >= start, distances[start:], np.int64(COLD))
             assert np.array_equal(adjusted, suffix), f"suffix start={start}"
+
+
+def _smaller_right_oracle(values: np.ndarray) -> np.ndarray:
+    return np.array([int(np.sum(values[i + 1 :] < values[i])) for i in range(values.size)], dtype=np.int64)
+
+
+#: Sizes on both sides of multiples of the base width and of the merge-level
+#: boundaries, where the last pair of blocks is ragged or missing.
+_EDGE_SIZES = sorted({max(0, k * _BASE + d) for k in (1, 2, 3, 4, 5, 8, 9, 16, 17) for d in (-1, 0, 1)} | {0, 1, 2, 3})
+
+
+class TestCountSmallerRight:
+    @given(st.lists(st.integers(min_value=-6, max_value=6), max_size=70))
+    def test_matches_brute_force_with_ties_and_negatives(self, values):
+        arr = np.asarray(values, dtype=np.int64)
+        assert np.array_equal(_count_smaller_right(arr), _smaller_right_oracle(arr))
+
+    @given(st.sampled_from(_EDGE_SIZES), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_matches_brute_force_at_block_and_level_edges(self, size, seed):
+        rng = np.random.default_rng(seed)
+        arr = rng.integers(-3 * size - 1, 3 * size + 1, size=size)
+        assert np.array_equal(_count_smaller_right(arr), _smaller_right_oracle(arr))
+
+    @given(st.lists(st.integers(min_value=-(2**62), max_value=2**62), max_size=40))
+    def test_wide_values_are_rank_compressed(self, values):
+        arr = np.asarray(values, dtype=np.int64)
+        assert np.array_equal(_count_smaller_right(arr), _smaller_right_oracle(arr))
+
+    def test_overflow_guard_keeps_order_and_ties(self):
+        values = np.array([2**61, -(2**61), 5, 2**61, -(2**61)], dtype=np.int64)
+        keys, shift = _index_keys(values, 16)
+        assert (keys >> shift)[:5].tolist() == [2, 0, 1, 2, 0]  # dense ranks
+        assert np.array_equal(_count_smaller_right(values), _smaller_right_oracle(values))
+
+    def test_peak_memory_per_reference_stays_bounded(self):
+        """The working set is a few arrays of the padded size (~34 B/ref).
+        Padding 100k arcs to a power of two (~45 B/ref) or an all-pairs
+        base-case tensor (~50 B/ref) would break this bound."""
+        rng = np.random.default_rng(3)
+        _starts, ends = _reuse_arcs(rng.integers(0, 40_000, size=140_000))
+        ends = ends[:100_000].copy()
+        tracemalloc.start()
+        try:
+            _count_smaller_right(ends)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / ends.size <= 40
+
+
+def _chunked(trace: np.ndarray, cuts: list[int]) -> list[np.ndarray]:
+    bounds = [0, *sorted(min(c, trace.size) for c in cuts), trace.size]
+    return [trace[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+class TestStackDistanceStreamDifferential:
+    @given(
+        st.lists(st.integers(min_value=0, max_value=12), max_size=80),
+        st.lists(st.integers(min_value=0, max_value=80), max_size=8),
+    )
+    def test_any_chunking_matches_the_one_shot_pass(self, trace, cuts):
+        """Cuts may repeat (empty chunks) and chunks may hold only items the
+        stream already carries."""
+        arr = np.asarray(trace, dtype=np.int64)
+        stream = StackDistanceStream()
+        parts = [stream.feed(chunk) for chunk in _chunked(arr, cuts)]
+        assert np.array_equal(np.concatenate(parts), stack_distances(arr))
+        assert stream.footprint == np.unique(arr).size and stream.clock == arr.size
+
+    def test_labels_spanning_all_of_int64(self):
+        """Labels too wide for the composite sort keys go through dense ranks."""
+        labels = np.array([-(2**63), 2**63 - 1, 0, 2**62, -5], dtype=np.int64)
+        trace = labels[np.random.default_rng(0).integers(0, labels.size, size=300)]
+        stream = StackDistanceStream()
+        parts = [stream.feed(trace[start : start + 37]) for start in range(0, trace.size, 37)]
+        assert np.array_equal(np.concatenate(parts), stack_distances(trace))
+        assert np.array_equal(stack_distances_vectorized(trace), stack_distances(trace))
+
+    def test_chunk_of_carried_items_only(self):
+        stream = StackDistanceStream()
+        stream.feed([1, 2, 3, 4])
+        again = stream.feed([3, 1, 4, 1])
+        assert again.tolist() == stack_distances([1, 2, 3, 4, 3, 1, 4, 1])[4:].tolist()
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=10), min_size=1, max_size=60),
+        st.lists(st.integers(min_value=0, max_value=60), max_size=6),
+    )
+    def test_state_round_trip_at_every_chunk_boundary(self, trace, cuts):
+        arr = np.asarray(trace, dtype=np.int64)
+        chunks = _chunked(arr, cuts)
+        stream = StackDistanceStream()
+        for boundary, chunk in enumerate(chunks):
+            resumed = StackDistanceStream()
+            resumed.load_state_dict(stream.state_dict())
+            for later in chunks[boundary:]:
+                start = resumed.clock
+                assert np.array_equal(resumed.feed(later), stack_distances(arr[: start + later.size])[start:])
+            stream.feed(chunk)
+
+    def test_loads_label_sorted_state(self):
+        """States saved with labels in sorted order (the earlier layout) load
+        and continue bit-identically."""
+        stream = StackDistanceStream()
+        stream.feed([9, 3, 7, 3, 5, 9])
+        state = stream.state_dict()
+        by_label = np.argsort(state["labels"])
+        legacy = {key: state[key][by_label] for key in ("labels", "positions")} | {"clock": state["clock"]}
+        assert legacy["labels"].tolist() == [3, 5, 7, 9]
+        resumed = StackDistanceStream()
+        resumed.load_state_dict(legacy)
+        tail = [7, 3, 1, 9, 5]
+        assert np.array_equal(resumed.feed(tail), stack_distances([9, 3, 7, 3, 5, 9, *tail])[6:])
+        assert np.array_equal(stream.feed(tail), stack_distances([9, 3, 7, 3, 5, 9, *tail])[6:])

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cache.mrc import mrc_from_trace
 from repro.profiling import (
@@ -97,6 +99,18 @@ class TestChunkPartials:
         sharded = parallel_reuse_histogram(trace, workers=1, chunks=7)
         sequential = ReuseTimeProfiler().feed(int(x) for x in trace)
         assert sharded == sequential.histogram
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=60),
+        st.lists(st.integers(min_value=0, max_value=60), max_size=6),
+    )
+    def test_any_chunking_merges_to_the_sequential_histogram(self, trace, cuts):
+        """Chunks of any size, empty ones included, merged in any order."""
+        arr = np.asarray(trace, dtype=np.int64)
+        bounds = [0, *sorted(min(c, arr.size) for c in cuts), arr.size]
+        partials = [chunk_partial(arr[a:b], a, fine_limit=4, coarse_per_octave=2) for a, b in zip(bounds, bounds[1:])]
+        sequential = ReuseTimeProfiler(fine_limit=4, coarse_per_octave=2).feed(trace)
+        assert merge_partials(partials[::-1]) == sequential.histogram
 
     def test_cross_chunk_reuses_resolved(self):
         """Items split across chunks contribute the same reuse times."""

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cache.mrc import mrc_from_trace
 from repro.profiling import (
@@ -37,6 +39,11 @@ class TestBucketArithmetic:
         vector = hist.bucket_indices(times)
         scalar = np.array([hist.bucket_index(int(t)) for t in times])
         assert np.array_equal(vector, scalar)
+
+    def test_vector_upper_edges_match_scalar(self):
+        hist = ReuseTimeHistogram(fine_limit=64, coarse_per_octave=16)
+        indices = np.arange(64 + 16 * 40)
+        assert hist.bucket_upper_edges(indices).tolist() == [hist.bucket_upper_edge(i) for i in indices.tolist()]
 
     def test_upper_edge_contains_bucket(self):
         hist = ReuseTimeHistogram(fine_limit=64, coarse_per_octave=16)
@@ -127,10 +134,50 @@ class TestAETModel:
         with pytest.raises(ValueError):
             ReuseTimeHistogram().to_mrc()
 
+    @given(
+        st.lists(st.integers(min_value=0, max_value=4), max_size=40),
+        st.integers(min_value=0, max_value=6),
+        st.sampled_from([(4, 2), (8, 4), (8, 8)]),
+        st.integers(min_value=1, max_value=120),
+    )
+    def test_curve_matches_scalar_walk(self, counts, cold, layout, limit):
+        """Bit-identical to walking the buckets one at a time, including
+        cache sizes whose eviction time lands exactly on a bucket edge."""
+        fine_limit, coarse_per_octave = layout
+        hist = ReuseTimeHistogram(fine_limit=fine_limit, coarse_per_octave=coarse_per_octave, counts=counts)
+        hist.record_cold(cold)
+        hist.accesses += sum(counts)
+        if hist.accesses == 0:
+            return
+        assert hist.to_mrc(limit).ratios == _aet_walk(hist, limit)
+
     def test_curve_default_length_is_footprint(self):
         trace = zipfian_trace(10_000, 512, rng=3)
         curve = reuse_mrc(trace)
         assert curve.max_cache_size == trace.footprint
+
+
+def _aet_walk(hist: ReuseTimeHistogram, limit: int) -> tuple[float, ...]:
+    """The AET curve by a scalar walk over the nonzero buckets."""
+    n = float(hist.accesses)
+    tail = int(hist.counts.sum())
+    ratios: list[float] = []
+    integral = 0.0
+    prev_edge = 0
+    for index in np.nonzero(hist.counts)[0]:
+        survival = (hist.cold + tail) / n
+        while len(ratios) < limit and integral >= len(ratios) + 1:
+            ratios.append(survival)
+        edge = hist.bucket_upper_edge(int(index))
+        width = edge - prev_edge
+        while len(ratios) < limit and integral + survival * width > len(ratios) + 1:
+            ratios.append(survival)
+        integral += survival * width
+        tail -= int(hist.counts[index])
+        prev_edge = edge
+    while len(ratios) < limit:
+        ratios.append(hist.cold / n if hist.cold else 0.0)
+    return tuple(ratios)
 
 
 class TestGeneratorBackedStream:

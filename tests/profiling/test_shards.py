@@ -37,6 +37,33 @@ class TestSpatialHash:
         below_half = int(np.sum(hashes < HASH_SPACE // 2))
         assert 0.48 < below_half / 100_000 < 0.52
 
+    @pytest.mark.parametrize("size", [0, 1, 65_535, 65_536, 65_537, 140_000])
+    def test_matches_scalar_splitmix64(self, size):
+        """In-place blocked hashing equals the textbook per-item finaliser,
+        across block boundaries, for negative labels and narrow dtypes."""
+        rng = np.random.default_rng(size)
+        items = rng.integers(-(2**40), 2**40, size=size)
+        picks = np.unique(np.r_[0, size // 2, size - 1]) if size else np.zeros(0, dtype=np.int64)
+        for seed, dtype in ((0, np.int64), (5, np.int32)):
+            hashes = spatial_hash(items.astype(dtype), seed=seed)
+            want = [_splitmix64_scalar(int(items.astype(dtype)[i]), seed) for i in picks]
+            assert hashes[picks].tolist() == want
+
+    def test_keeps_the_input_shape(self):
+        items = np.arange(6).reshape(2, 3)
+        assert np.array_equal(spatial_hash(items, seed=2), spatial_hash(items.reshape(-1), seed=2).reshape(2, 3))
+        assert int(spatial_hash(4, seed=2)) == _splitmix64_scalar(4, 2)
+
+
+def _splitmix64_scalar(item: int, seed: int) -> int:
+    mask = (1 << 64) - 1
+    golden = 0x9E3779B97F4A7C15
+    z = (((item & mask) << 20) & mask) ^ ((0xABCD0123 + seed * golden) & mask)
+    z = (z + golden) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return (z ^ (z >> 31)) & (HASH_SPACE - 1)
+
 
 class TestSampleTrace:
     def test_spatial_property(self):
