@@ -3,13 +3,13 @@
 The acceptance claims of the batch data plane (``repro.sim.partitioned``),
 asserted on the canonical 72k-reference 3-phase two-tenant seesaw:
 
-1. **Bit-identical** — the ``batch`` and ``reference`` engines of
-   :func:`repro.online.run_replay` produce identical per-epoch miss-ratio
-   series for all three lanes (static, adaptive, oracle), identical
-   scoreboards, and identical results across ``--workers``.
+1. **Bit-identical** — the per-event ``OrderedDict`` oracle
+   (``tests/oracles.py``) replaying the capacity schedules a
+   :func:`repro.online.run_replay` run recorded reproduces its per-epoch
+   miss-ratio series for all three lanes (static, adaptive, oracle).
 2. **≥10x** — replaying the three lanes through the batch kernels is at
-   least 10x faster than the seed per-event ``OrderedDict`` replay of the
-   very same capacity schedules.  The per-tenant stack-distance pass the
+   least 10x faster than that per-event replay of the very same capacity
+   schedules.  The per-tenant stack-distance pass the
    kernels consume is *shared* with profile extraction — the engine computes
    it once and derives the static and per-phase oracle profiles from the
    same arrays — so the timed comparison charges it to profiling, exactly as
@@ -36,16 +36,14 @@ import numpy as np
 
 from repro.analysis import format_table, write_csv
 from repro.cache.stack_distance import stack_distances_with_previous
+from repro.engine import PrecomputedTenantDistances
 from repro.obs import record_perf
 from repro.online import OnlineJob, run_replay
-from repro.online.replay import PartitionedLRU, _initial_split
-from repro.sim.partitioned import (
-    BatchPartitionedLRU,
-    PrecomputedTenantDistances,
-    replay_partitioned,
-)
+from repro.online.replay import _initial_split
+from repro.sim.partitioned import BatchPartitionedLRU, replay_partitioned
 from repro.trace import create_memmap_trace, open_memmap_trace
 from repro.trace.drift import three_phase_pair
+from tests.oracles import LANES, drive_lanes, lane_schedule, per_event_lane_misses
 
 LENGTH_PER_PHASE = 12_000
 SEED = 7
@@ -58,7 +56,6 @@ JOB = OnlineJob(
     move_cost=1.0,
     name="bench-replay",
 )
-LANES = ("static", "adaptive", "oracle")
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 MEMMAP_REFS = 2_000_000 if QUICK else 10_000_000
@@ -75,78 +72,25 @@ def _record(results_dir, section: str, payload: dict) -> None:
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
-def _lane_schedule(workload, result):
-    """The chunk stops and per-lane resize schedules one replay actually ran."""
-    n = result.accesses
-    epoch_ends = set(range(JOB.epoch, n, JOB.epoch)) | {n}
-    boundaries = {b for b in workload.boundaries if b > 0}
-    stops = sorted(epoch_ends | boundaries)
-    adaptive_at = {epoch.end: epoch.adaptive_allocation for epoch in result.epochs}
-    oracle_at = {int(workload.boundaries[p]): result.oracle_allocations[p] for p in range(1, workload.num_phases)}
-    return stops, epoch_ends, adaptive_at, oracle_at
-
-
-def _drive(simulators, advance, stops, epoch_ends, adaptive_at, oracle_at):
-    """Run one data plane over the recorded schedule; per-epoch misses per lane."""
-    series = {lane: [] for lane in LANES}
-    epoch_misses = {lane: 0 for lane in LANES}
-    position = 0
-    for stop in stops:
-        deltas = advance(position, stop)
-        for lane in LANES:
-            epoch_misses[lane] += deltas[lane]
-        position = stop
-        if position in oracle_at:
-            simulators["oracle"].resize(oracle_at[position])
-        if position in epoch_ends:
-            if position in adaptive_at:
-                simulators["adaptive"].resize(adaptive_at[position])
-            for lane in LANES:
-                series[lane].append(epoch_misses[lane])
-                epoch_misses[lane] = 0
-    return series
-
-
 def test_batch_data_plane_beats_per_event_replay_10x(results_dir, perf_trajectory):
     workload = three_phase_pair(LENGTH_PER_PHASE, seed=SEED)
     composed = workload.composed
     items, ids = composed.trace.accesses, composed.tenant_ids
     num_tenants = composed.num_tenants
 
-    # --- end-to-end: both engines, bit-identical results ------------------ #
+    # --- end to end ------------------------------------------------------- #
     start = time.perf_counter()
     result = run_replay(workload, JOB)
     batch_end_to_end = time.perf_counter() - start
-    start = time.perf_counter()
-    reference_result = run_replay(workload, JOB, engine="reference")
-    reference_end_to_end = time.perf_counter() - start
-    assert reference_result.rows() == result.rows(), "per-epoch series must be bit-identical across engines"
-    assert reference_result.summary() == result.summary()
-    parallel = run_replay(workload, JOB, workers=4)
-    assert parallel.rows() == result.rows(), "workers must never change results"
-    assert parallel.summary() == result.summary()
 
     # --- data plane: the same three lane schedules, both planes ----------- #
-    stops, epoch_ends, adaptive_at, oracle_at = _lane_schedule(workload, result)
+    schedule = lane_schedule(workload, result, JOB.epoch)
+    stops = schedule[0]
     initial = _initial_split(num_tenants, JOB.budget, JOB.unit)
     allocations = {"static": result.static_allocation, "adaptive": initial, "oracle": result.oracle_allocations[0]}
 
     def run_per_event():
-        sims = {lane: PartitionedLRU(allocations[lane]) for lane in LANES}
-
-        def advance(start, stop):
-            pairs = list(zip(ids[start:stop].tolist(), items[start:stop].tolist()))
-            deltas = {}
-            for lane in LANES:
-                sim = sims[lane]
-                before = sim.misses
-                access = sim.access
-                for tenant, item in pairs:
-                    access(tenant, item)
-                deltas[lane] = sim.misses - before
-            return deltas
-
-        return _drive(sims, advance, stops, epoch_ends, adaptive_at, oracle_at)
+        return per_event_lane_misses(items, ids, allocations, schedule)
 
     # The distance pass is charged to profiling: run_replay computes it once
     # and derives the static and oracle profiles from the same arrays, so the
@@ -163,7 +107,7 @@ def test_batch_data_plane_beats_per_event_replay_10x(results_dir, perf_trajector
             distances = provider.feed(items[start:stop], ids[start:stop])
             return {lane: sims[lane].run_segment(distances)[1] for lane in LANES}
 
-        return _drive(sims, advance, stops, epoch_ends, adaptive_at, oracle_at)
+        return drive_lanes(sims, advance, schedule)
 
     per_event_series = run_per_event()
     batch_series = run_batch()
@@ -220,9 +164,7 @@ def test_batch_data_plane_beats_per_event_replay_10x(results_dir, perf_trajector
             "speedup": speedup,
             "batch_lane_refs_per_sec": lane_refs / batch_seconds,
             "distance_pass_seconds": distance_pass_seconds,
-            "end_to_end_reference_seconds": reference_end_to_end,
             "end_to_end_batch_seconds": batch_end_to_end,
-            "end_to_end_speedup": reference_end_to_end / batch_end_to_end,
         },
     )
     record_perf(perf_trajectory, "bench_replay", "speedup", speedup, unit="x", quick=QUICK)

@@ -18,8 +18,9 @@ import numpy as np
 
 from repro.analysis import format_table, write_csv
 from repro.obs import record_perf
-from repro.sim import compact_trace, fifo_sweep_hits, lru_sweep_hits, naive_sweep_hits
+from repro.sim import compact_trace, fifo_sweep_hits, lru_sweep_hits
 from repro.trace import zipfian_trace
+from tests.oracles import naive_sweep_hits
 
 TRACE_LENGTH = 100_000
 FOOTPRINT = 8192

@@ -124,7 +124,6 @@ def run(
     *,
     workload: "DriftingWorkload | None" = None,
     workers: int = 1,
-    engine: str = "batch",
     policy: "RetryPolicy | None" = None,
     checkpoint_dir: str | Path | None = None,
     checkpoint_every: int = 1,
@@ -138,37 +137,25 @@ def run(
     :class:`~repro.sim.sweep.SweepJob`,
     :class:`~repro.alloc.partition.PartitionJob` or
     :class:`~repro.online.replay.OnlineJob`).  ``workload`` is required for —
-    and only accepted by — online jobs; ``engine`` selects the online replay
-    data plane.  ``workers`` never changes any result.
+    and only accepted by — online jobs.  ``workers`` never changes any
+    result; the online replay runs in one process and only validates it.
 
     The fault-tolerance knobs apply to the job types that support them:
     ``policy`` (a :class:`repro.resilience.RetryPolicy`) hardens the process
-    pool of online and sweep jobs, and ``checkpoint_dir`` /
-    ``checkpoint_every`` / ``resume`` give those two crash-safe progress
-    snapshots and bit-identical resumption (see :mod:`repro.resilience`).
-    Passing any of them with a profile or partition job is an error.
+    pool of sweep jobs, and ``checkpoint_dir`` / ``checkpoint_every`` /
+    ``resume`` give online and sweep jobs crash-safe progress snapshots and
+    bit-identical resumption (see :mod:`repro.resilience`).  Passing
+    ``policy`` with any other job, or the checkpoint knobs with a profile or
+    partition job, is an error.
     """
     ProfileJob, SweepJob, PartitionJob, OnlineJob = _jobs_module()
-    resilient = policy is not None or checkpoint_dir is not None or resume
-    if isinstance(job, OnlineJob):
-        if workload is None:
-            raise ValueError("online jobs need a workload= (a DriftingWorkload or preset)")
-        from .online.replay import run_replay
-
-        runner = lambda: run_replay(  # noqa: E731
-            workload,
-            job,
-            workers=workers,
-            engine=engine,
-            policy=policy,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every,
-            resume=resume,
-        )
-        command = "online"
-    elif workload is not None:
+    online = isinstance(job, OnlineJob)
+    if online and workload is None:
+        raise ValueError("online jobs need a workload= (a DriftingWorkload or preset)")
+    if workload is not None and not online:
         raise ValueError(f"workload= only applies to online jobs, got {type(job).__name__}")
-    elif isinstance(job, SweepJob):
+    checkpointed = checkpoint_dir is not None or resume
+    if isinstance(job, SweepJob):
         from .sim.sweep import run_sweep
 
         runner = lambda: run_sweep(  # noqa: E731
@@ -180,10 +167,20 @@ def run(
             resume=resume,
         )
         command = "sweep"
-    elif resilient:
+    elif policy is not None or (checkpointed and not online):
         raise ValueError(
-            f"policy=/checkpoint_dir=/resume= apply to online and sweep jobs only, got {type(job).__name__}"
+            "policy= applies to sweep jobs only and checkpoint_dir=/resume= to online and sweep jobs only, "
+            f"got {type(job).__name__}"
         )
+    elif online:
+        from .engine.runner import check_workers
+        from .online.replay import run_replay
+
+        check_workers(workers)
+        runner = lambda: run_replay(  # noqa: E731
+            workload, job, checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every, resume=resume
+        )
+        command = "online"
     elif isinstance(job, PartitionJob):
         from .alloc.partition import run_partition
 
@@ -356,8 +353,6 @@ def online(
     profile_seed: int = 0,
     name: str | None = None,
     workers: int = 1,
-    engine: str = "batch",
-    policy: "RetryPolicy | None" = None,
     checkpoint_dir: str | Path | None = None,
     checkpoint_every: int = 1,
     resume: bool = False,
@@ -369,10 +364,10 @@ def online(
     ``workload`` is a :class:`~repro.trace.drift.DriftingWorkload` or one of
     the presets ``"three-phase"`` / ``"churn"`` (built with ``length`` and
     ``seed``; both are ignored for an already-built workload).  The remaining
-    knobs mirror :class:`~repro.online.replay.OnlineJob`; ``engine`` selects
-    the replay data plane (``batch`` | ``reference``, bit-identical);
-    ``policy`` / ``checkpoint_dir`` / ``checkpoint_every`` / ``resume`` are
-    the fault-tolerance knobs of :func:`repro.online.replay.run_replay`.
+    knobs mirror :class:`~repro.online.replay.OnlineJob`; ``checkpoint_dir``
+    / ``checkpoint_every`` / ``resume`` are the fault-tolerance knobs of
+    :func:`repro.online.replay.run_replay`.  ``workers`` is accepted like on
+    every verb and validated, but the replay runs in one process.
     """
     from .online.replay import OnlineJob
 
@@ -405,8 +400,6 @@ def online(
         job,
         workload=workload,
         workers=workers,
-        engine=engine,
-        policy=policy,
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=checkpoint_every,
         resume=resume,

@@ -36,8 +36,6 @@ from .stack_distance import (
     hit_counts,
     reuse_intervals,
     stack_distance_histogram,
-    stack_distances,
-    stack_distances_naive,
     stack_distances_vectorized,
     stack_distances_with_previous,
 )
@@ -67,8 +65,6 @@ __all__ = [
     "hit_counts",
     "reuse_intervals",
     "stack_distance_histogram",
-    "stack_distances",
-    "stack_distances_naive",
     "stack_distances_vectorized",
     "stack_distances_with_previous",
 ]

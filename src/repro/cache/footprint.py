@@ -30,7 +30,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .stack_distance import COLD, reuse_intervals, stack_distances
+from .stack_distance import COLD, reuse_intervals, stack_distances_vectorized
 
 __all__ = [
     "footprint_curve",
@@ -162,7 +162,7 @@ def data_movement_distance(trace: Sequence[int] | np.ndarray) -> float:
     arr = np.asarray(trace)
     if arr.size == 0:
         return 0.0
-    distances = stack_distances(arr)
+    distances = stack_distances_vectorized(arr)
     footprint_size = int(np.unique(arr).size)
     finite = distances[distances != COLD].astype(np.float64)
     cold = distances.size - finite.size

@@ -8,13 +8,7 @@ periodic special case can be cross-validated:
 
 * :func:`reuse_intervals` — the time (access count) between consecutive uses
   of the same item (Definition 4).
-* :func:`stack_distances_naive` — Mattson's original stack simulation,
-  ``O(N·M)``; the readable oracle.
-* :func:`stack_distances` — the Olken/Bennett–Kruskal algorithm: a Fenwick
-  tree over access times marks the *last* access of every item, so the number
-  of distinct items touched since the previous access of the current item is a
-  suffix sum — ``O(N log N)`` overall.
-* :func:`stack_distances_vectorized` — the same exact distances without a
+* :func:`stack_distances_vectorized` — exact LRU stack distances without a
   per-access Python loop: each reuse pair becomes an *arc* ``(j, next(j))``,
   the distance is ``next(j) - j`` minus the number of arcs strictly nested
   inside, and nested-arc counting is "count smaller elements to the right"
@@ -47,13 +41,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..core.inversions import FenwickTree
-
 __all__ = [
     "COLD",
     "reuse_intervals",
-    "stack_distances_naive",
-    "stack_distances",
     "stack_distances_vectorized",
     "stack_distances_with_previous",
     "stack_distance_histogram",
@@ -91,55 +81,6 @@ def reuse_intervals(trace: Sequence[int] | np.ndarray) -> np.ndarray:
         if item in last_seen:
             out[pos] = pos - last_seen[item] - 1
         last_seen[item] = pos
-    return out
-
-
-def stack_distances_naive(trace: Sequence[int] | np.ndarray) -> np.ndarray:
-    """LRU stack distances by direct stack simulation (``O(N·M)`` oracle).
-
-    Maintains the explicit LRU stack; the distance of an access is the depth
-    (1-based) of the item in the stack, or :data:`COLD` if absent.
-    """
-    arr = _as_trace(trace)
-    stack: list[int] = []  # most recently used at the end
-    out = np.full(arr.size, COLD, dtype=np.int64)
-    for pos in range(arr.size):
-        item = int(arr[pos])
-        try:
-            depth_from_top = len(stack) - stack.index(item)
-            out[pos] = depth_from_top
-            stack.remove(item)
-        except ValueError:
-            pass
-        stack.append(item)
-    return out
-
-
-def stack_distances(trace: Sequence[int] | np.ndarray) -> np.ndarray:
-    """LRU stack distances via the Olken / Bennett–Kruskal Fenwick-tree algorithm.
-
-    For each access the algorithm needs the number of *distinct* items touched
-    since the previous access to the same item.  Keeping a Fenwick tree with a
-    1 at the position of every item's most recent access, that count is the
-    sum of the tree over positions after the item's previous access.  Each
-    access does O(log N) work.
-    """
-    arr = _as_trace(trace)
-    n = arr.size
-    out = np.full(n, COLD, dtype=np.int64)
-    if n == 0:
-        return out
-    tree = FenwickTree(n)
-    last_pos: dict[int, int] = {}
-    for pos in range(n):
-        item = int(arr[pos])
-        prev = last_pos.get(item)
-        if prev is not None:
-            distinct_between = tree.range_sum(prev + 1, pos - 1)
-            out[pos] = distinct_between + 1
-            tree.add(prev, -1)
-        tree.add(pos, 1)
-        last_pos[item] = pos
     return out
 
 
@@ -261,7 +202,8 @@ def stack_distances_vectorized(trace: Sequence[int] | np.ndarray) -> np.ndarray:
 
     Arc starts are increasing, so the nested count per arc is "count smaller
     elements to the right" over the arc-end sequence.  Bit-identical to
-    :func:`stack_distances` (cross-validated in the test-suite).
+    Mattson's stack simulation and the Olken / Bennett–Kruskal Fenwick-tree
+    loop (both kept as oracles in the test-suite).
     """
     return stack_distances_with_previous(trace)[0]
 
@@ -318,7 +260,7 @@ class StackDistanceStream:
     >>> stream = StackDistanceStream()
     >>> stream.feed([1, 2]).tolist() == [COLD, COLD]
     True
-    >>> stream.feed([2, 3, 2, 1]).tolist()  # == stack_distances([1,2,2,3,2,1])[2:]
+    >>> stream.feed([2, 3, 2, 1]).tolist()  # == stack_distances_vectorized([1,2,2,3,2,1])[2:]
     [1, 9223372036854775807, 2, 3]
     """
 

@@ -429,7 +429,6 @@ def _cmd_online(args: argparse.Namespace) -> int:
             unit=args.unit,
             profile_seed=args.profile_seed,
             workers=args.workers,
-            engine=args.engine,
             checkpoint_dir=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
             resume=args.resume,
@@ -689,7 +688,6 @@ def _alloc_flags() -> argparse.ArgumentParser:
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser (exposed for testing)."""
     from .engine.job import PROFILE_MODES
-    from .engine.lanes import LANE_ENGINES
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -803,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
             _engine_flags(
                 seed_default=7,
                 seed_help="seed of the drifting workload",
-                workers_help="process pool size (never changes the results)",
+                workers_help="accepted like on every engine subcommand; the replay runs in one process",
                 csv_help="write per-epoch rows plus a TOTAL row to this CSV file",
             ),
             _alloc_flags(),
@@ -835,12 +833,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         help="fixed re-allocation cadence; between these epochs only a phase-change flag consults the controller",
-    )
-    online.add_argument(
-        "--engine",
-        choices=list(LANE_ENGINES),
-        default="batch",
-        help="replay data plane: vectorised batch kernels or the per-event reference (bit-identical)",
     )
     online.set_defaults(func=_cmd_online)
 

@@ -21,9 +21,8 @@ future consumer simultaneously.
   with ``O(footprint)`` carried state, for traces too large to hold.
 * :class:`PrecomputedTenantDistances` — whole-stream distances sliced out
   chunk by chunk (the in-memory replay fast path).
-* :func:`exact_discretized_curve` / :func:`discretized_from_distances` —
-  exact discretized MRC extraction from a stream or from precomputed
-  distances, bit-identical to each other on the same stream.
+* :func:`discretized_from_distances` — exact discretized MRC extraction
+  from precomputed distances.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ __all__ = [
     "TenantDistanceStreams",
     "check_tenant_ids",
     "discretized_from_distances",
-    "exact_discretized_curve",
     "idle_curve",
     "split_by_tenant",
     "tenant_positions",
@@ -51,8 +49,7 @@ def check_tenant_ids(tenant_ids: np.ndarray, num_tenants: int) -> None:
     """Reject tenant ids outside ``[0, num_tenants)``.
 
     Splitting with boolean masks would otherwise silently *drop* the events
-    of an out-of-range tenant — wrong totals instead of an error, where the
-    per-event reference simulator raises.
+    of an out-of-range tenant — wrong totals instead of an error.
     """
     if tenant_ids.size and not 0 <= int(tenant_ids.min()) <= int(tenant_ids.max()) < num_tenants:
         raise ValueError(
@@ -91,31 +88,13 @@ def idle_curve(unit: int):
     return DiscretizedMRC(misses=np.zeros(1, dtype=np.float64), unit=unit, accesses=_IDLE_CURVE_ACCESSES)
 
 
-def exact_discretized_curve(stream: np.ndarray, budget: int, unit: int):
-    """Exact whole-stream MRC of one tenant stream, discretized to units.
-
-    The pool-dispatchable profile extractor of the reference engine: one
-    stack-distance pass over ``stream``, a miss-ratio curve up to ``budget``
-    blocks, discretized to allocation ``unit``\\ s.  An empty stream maps to
-    the :func:`idle_curve`.
-    """
-    from ..alloc.curves import discretize_curve
-    from ..cache.mrc import mrc_from_trace
-
-    stream = np.asarray(stream)
-    if stream.size == 0:
-        return idle_curve(unit)
-    curve = mrc_from_trace(stream, max_cache_size=budget)
-    return discretize_curve(curve, budget, unit=unit)
-
-
 def discretized_from_distances(distances: np.ndarray, budget: int, unit: int):
     """Exact discretized MRC straight from precomputed stack distances.
 
-    Bit-identical to :func:`exact_discretized_curve` on the stream the
-    distances were measured over (same histogram, same cumulative hits, same
-    float ops) — but free once the engine has done its one distance pass per
-    tenant.  Cold accesses carry the
+    Bit-identical to profiling the stream the distances were measured over
+    with :func:`~repro.cache.mrc.mrc_from_trace` and discretizing (same
+    histogram, same cumulative hits, same float ops) — but free once the
+    engine has done its one distance pass per tenant.  Cold accesses carry the
     :data:`~repro.cache.stack_distance.COLD` sentinel, which is beyond any
     budget and falls out of the histogram.
     """
@@ -130,12 +109,6 @@ def discretized_from_distances(distances: np.ndarray, budget: int, unit: int):
     ratios = 1.0 - np.cumsum(hist).astype(np.float64) / n
     curve = MissRatioCurve(ratios=tuple(ratios.tolist()), accesses=n)
     return discretize_curve(curve, budget, unit=unit)
-
-
-def _exact_discretized_task(task: tuple[np.ndarray, int, int]):
-    """Pool worker: :func:`exact_discretized_curve` over one ``(stream, budget, unit)``."""
-    stream, budget, unit = task
-    return exact_discretized_curve(stream, budget, unit)
 
 
 class TenantDistancePasses:
@@ -270,11 +243,6 @@ class PrecomputedTenantDistances:
         provider._distances = [np.asarray(d) for d in distances]
         provider._cursors = [0] * len(provider._distances)
         return provider
-
-    @classmethod
-    def from_passes(cls, passes: TenantDistancePasses) -> "PrecomputedTenantDistances":
-        """Wrap the distance arrays of a :class:`TenantDistancePasses`."""
-        return cls.from_arrays(passes.distances)
 
     @property
     def num_tenants(self) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .._util import check_positive_int
 from ..cache.hierarchy import CacheHierarchy
 from ..cache.mrc import MissRatioCurve, mrc_from_trace
-from ..cache.stack_distance import COLD, stack_distances
+from ..cache.stack_distance import COLD, stack_distances_vectorized
 from ..core.optimal import alternating_schedule
 from ..core.permutation import Permutation
 from ..trace.generators import repeated_traversals
@@ -111,7 +111,7 @@ def _evaluate_trace(
     hierarchy_levels: Sequence[int] | None,
     max_cache_size: int | None,
 ) -> ScheduleEvaluation:
-    distances = stack_distances(trace.accesses)
+    distances = stack_distances_vectorized(trace.accesses)
     finite = distances[distances != COLD]
     total_reuse = int(finite.sum())
     mean_sd = float(finite.mean()) if finite.size else float("nan")

@@ -29,15 +29,18 @@ Registries **merge** (:meth:`MetricsRegistry.merge`): counters add, gauges
 take the right operand when it was written, histograms with identical edges
 add bucketwise, spans combine count/total/min/max, series concatenate.  The
 merge is associative (hypothesis-asserted in ``tests/obs/test_registry.py``),
-so sharded partials fold in any grouping.
+so sharded partials fold in any grouping: span and histogram totals are
+summed exactly (:class:`_ExactSum`) and rounded once when read.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
+from fractions import Fraction
 from types import TracebackType
 
 __all__ = [
@@ -60,6 +63,40 @@ _LabelKey = tuple[tuple[str, str], ...]
 
 def _label_key(labels: dict[str, object]) -> _LabelKey:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+
+
+class _ExactSum:
+    """A float sum rounded once, when it is read.
+
+    Finite terms add up as an exact :class:`~fractions.Fraction` (every float
+    is one), so the total is the same however the terms were grouped; plain
+    ``+=`` would make merged totals depend on the merge order in the last
+    bit.  Infinite and NaN terms sum on the side, where float addition is
+    order-free.
+    """
+
+    __slots__ = ("exact", "special")
+
+    def __init__(self) -> None:
+        self.exact = Fraction(0)
+        self.special = 0.0
+
+    def add(self, x: float) -> None:
+        """Add one term exactly."""
+        if math.isfinite(x):
+            self.exact += Fraction(x)
+        else:
+            self.special += x
+
+    def merge(self, other: "_ExactSum") -> None:
+        """Add every term of ``other`` exactly."""
+        self.exact += other.exact
+        self.special += other.special
+
+    @property
+    def value(self) -> float:
+        """The exact sum, rounded once to the nearest float."""
+        return float(self.exact) + self.special
 
 
 class Counter:
@@ -109,7 +146,7 @@ class Histogram:
     ``counts`` has ``len(edges) + 1`` entries and always sums to ``count``.
     """
 
-    __slots__ = ("name", "labels", "edges", "counts", "total", "count")
+    __slots__ = ("name", "labels", "edges", "counts", "_sum", "count")
 
     def __init__(self, name: str, edges: Iterable[float], labels: dict[str, str]):
         self.name = name
@@ -122,8 +159,13 @@ class Histogram:
         if any(e != e or e in (float("inf"), float("-inf")) for e in self.edges):
             raise ValueError(f"histogram {name!r} edges must be finite (the overflow bucket is implicit)")
         self.counts = [0] * (len(self.edges) + 1)
-        self.total = 0.0
+        self._sum = _ExactSum()
         self.count = 0
+
+    @property
+    def total(self) -> float:
+        """Sum of every observed value."""
+        return self._sum.value
 
     def bucket_index(self, value: float) -> int:
         """Index of the bucket ``value`` falls into (``len(edges)`` = overflow)."""
@@ -132,7 +174,7 @@ class Histogram:
     def observe(self, value: float) -> None:
         """Record one value."""
         self.counts[self.bucket_index(value)] += 1
-        self.total += float(value)
+        self._sum.add(float(value))
         self.count += 1
 
     def observe_many(self, values: Iterable[float]) -> None:
@@ -144,21 +186,26 @@ class Histogram:
 class SpanStats:
     """Aggregated wall-clock durations of one span name."""
 
-    __slots__ = ("name", "labels", "count", "total", "min", "max")
+    __slots__ = ("name", "labels", "count", "_sum", "min", "max")
 
     def __init__(self, name: str, labels: dict[str, str]):
         self.name = name
         self.labels = labels
         self.count = 0
-        self.total = 0.0
+        self._sum = _ExactSum()
         self.min = float("inf")
         self.max = 0.0
+
+    @property
+    def total(self) -> float:
+        """Sum of every recorded duration in seconds."""
+        return self._sum.value
 
     def record(self, seconds: float) -> None:
         """Fold one measured duration into the aggregate."""
         seconds = float(seconds)
         self.count += 1
-        self.total += seconds
+        self._sum.add(seconds)
         self.min = min(self.min, seconds)
         self.max = max(self.max, seconds)
 
@@ -381,14 +428,14 @@ class MetricsRegistry:
             elif mine.edges != histogram.edges:
                 raise ValueError(f"cannot merge histogram {name!r}: edges {mine.edges} vs {histogram.edges}")
             mine.counts = [a + b for a, b in zip(mine.counts, histogram.counts)]
-            mine.total += histogram.total
+            mine._sum.merge(histogram._sum)
             mine.count += histogram.count
         for (name, key), stats in other._spans.items():
             mine = self._spans.get((name, key))
             if mine is None:
                 mine = self._spans[(name, key)] = SpanStats(name, dict(stats.labels))
             mine.count += stats.count
-            mine.total += stats.total
+            mine._sum.merge(stats._sum)
             mine.min = min(mine.min, stats.min)
             mine.max = max(mine.max, stats.max)
         for name, series in other._series.items():

@@ -19,9 +19,6 @@ accuracy for orders-of-magnitude cost reductions:
 :mod:`repro.profiling.accuracy`
     Mean/max absolute-error comparison of approximate vs. exact curves, used
     by the tests and benchmarks to assert error bounds.
-:mod:`repro.engine.runner` (re-exported here for compatibility)
-    The shared fork-first process-pool helpers used by both this engine and
-    the policy-sweep engine in :mod:`repro.sim`.
 
 Examples
 --------
@@ -47,7 +44,6 @@ from .engine import (
     run_job,
     run_jobs,
 )
-from ..engine.runner import check_workers, fork_available, fork_pool, pool_map
 from .reuse import ReuseTimeHistogram, ReuseTimeProfiler, reuse_mrc
 from .shards import (
     HASH_SPACE,
@@ -72,10 +68,6 @@ __all__ = [
     "parallel_reuse_mrc",
     "run_job",
     "run_jobs",
-    "check_workers",
-    "fork_available",
-    "fork_pool",
-    "pool_map",
     "ReuseTimeHistogram",
     "ReuseTimeProfiler",
     "reuse_mrc",

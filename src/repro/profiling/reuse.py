@@ -1,7 +1,7 @@
 """One-pass streaming reuse-time profiling and the AET miss-ratio model.
 
-The exact MRC pipeline needs the whole trace in memory (Fenwick tree over
-positions).  This module profiles a trace in a *single forward pass* with
+The exact MRC pipeline needs the whole trace in memory (one vectorised
+stack-distance pass).  This module profiles a trace in a *single forward pass* with
 memory bounded by the footprint plus a fixed histogram, so arbitrarily long,
 generator-backed traces can be profiled without ever materialising them:
 

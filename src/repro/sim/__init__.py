@@ -22,8 +22,8 @@ subsystem collapses that matrix:
     segments per kernel call (hit iff stack distance ≤ current occupancy),
     per-tenant streaming distances shared by every capacity schedule, and a
     bounded-memory :func:`~repro.sim.partitioned.replay_partitioned` for
-    ``numpy.memmap``-backed traces.  Bit-identical to the per-event
-    ``OrderedDict`` reference simulator.
+    ``numpy.memmap``-backed traces.  Bit-identical to per-event
+    ``OrderedDict`` partitions (asserted in the test-suite).
 
 The CLI exposes the engine as ``python -m repro sweep``; the
 ``policy-sweep`` experiment and ``benchmarks/test_bench_sweep.py`` build on it.
@@ -47,9 +47,8 @@ from .kernels import (
     random_sweep_hits,
     set_associative_sweep_hits,
 )
-from ..engine.columnar import PrecomputedTenantDistances, TenantDistanceStreams
 from .partitioned import BatchPartitionedLRU, partitioned_lru_segment, replay_partitioned
-from .sweep import POLICIES, PolicySweep, SweepJob, SweepResult, naive_sweep_hits, run_sweep
+from .sweep import POLICIES, PolicySweep, SweepJob, SweepResult, run_sweep
 
 __all__ = [
     "check_capacities",
@@ -59,14 +58,11 @@ __all__ = [
     "random_sweep_hits",
     "set_associative_sweep_hits",
     "BatchPartitionedLRU",
-    "PrecomputedTenantDistances",
-    "TenantDistanceStreams",
     "partitioned_lru_segment",
     "replay_partitioned",
     "POLICIES",
     "PolicySweep",
     "SweepJob",
     "SweepResult",
-    "naive_sweep_hits",
     "run_sweep",
 ]

@@ -32,7 +32,6 @@ import contextlib
 import hashlib
 import json
 import zlib
-from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,7 +52,7 @@ from .kernels import (
     set_associative_sweep_hits,
 )
 
-__all__ = ["POLICIES", "SweepJob", "PolicySweep", "SweepResult", "run_sweep", "naive_sweep_hits"]
+__all__ = ["POLICIES", "SweepJob", "PolicySweep", "SweepResult", "run_sweep"]
 
 #: Replacement policies the sweep engine understands.
 POLICIES = ("lru", "fifo", "random", "set-associative")
@@ -368,26 +367,3 @@ def run_sweep(
     registry.gauge("sweep.footprint").set(distinct)
     return SweepResult(name=job.name, accesses=int(dense.size), footprint=distinct, sweeps=tuple(sweeps))
 
-
-def naive_sweep_hits(
-    trace: Sequence[int] | np.ndarray, capacities: Sequence[int] | np.ndarray, *, policy: str = "lru"
-) -> np.ndarray:
-    """Reference oracle: replay the trace once per capacity through a CacheModel.
-
-    This is the cost wall the sweep engine removes — ``len(capacities)`` full
-    pure-Python replays.  Used by the cross-validation tests and as the
-    baseline of the ``benchmarks/test_bench_sweep.py`` speedup assertion.
-    """
-    from ..cache.fifo import FIFOCache
-    from ..cache.lru import LRUCache
-
-    models = {"lru": LRUCache, "fifo": FIFOCache}
-    if policy not in models:
-        raise ValueError(f"naive replay supports {sorted(models)}, got {policy!r}")
-    caps = check_capacities(capacities)
-    arr = np.asarray(trace).tolist()
-    hits = np.zeros(caps.size, dtype=np.int64)
-    for k, capacity in enumerate(caps):
-        model = models[policy](int(capacity))
-        hits[k] = model.run(arr).hits
-    return hits

@@ -16,14 +16,13 @@ from repro.cache import (
     hit_counts,
     reuse_intervals,
     stack_distance_histogram,
-    stack_distances,
-    stack_distances_naive,
     stack_distances_vectorized,
     stack_distances_with_previous,
 )
 from repro.cache.stack_distance import _BASE, _count_smaller_right, _index_keys, _reuse_arcs
 from repro.core import random_permutation, stack_distances as periodic_stack_distances
 from repro.trace import PeriodicTrace, zipfian_trace
+from tests.oracles import stack_distances, stack_distances_naive
 
 
 class TestReuseIntervals:
@@ -51,6 +50,8 @@ class TestReuseIntervals:
 
 
 class TestStackDistances:
+    """The Fenwick oracle against the naive stack and the paper's closed form."""
+
     def test_known_trace(self):
         # a b c c b a: stack distances of the second half are 1, 2, 3
         distances = stack_distances([0, 1, 2, 2, 1, 0])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache import LRUCache, stack_distances
+from repro.cache import LRUCache
 from repro.cache.stack_distance import COLD
 from repro.core import (
     Permutation,
@@ -17,6 +17,7 @@ from repro.core import (
     schedule_trace,
     total_reuse,
 )
+from tests.oracles import stack_distances
 
 
 class TestOptimalReordering:

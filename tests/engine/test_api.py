@@ -57,6 +57,15 @@ class TestRunDispatch:
         with pytest.raises(ValueError, match="workload"):
             api.run(OnlineJob(budget=16, window=64, epoch=32))
 
+    def test_policy_rejected_for_online_jobs(self):
+        from repro.online.replay import OnlineJob
+        from repro.resilience import RetryPolicy
+        from repro.trace.drift import three_phase_pair
+
+        job, workload = OnlineJob(budget=16, window=64, epoch=32), three_phase_pair(200, seed=1)
+        with pytest.raises(ValueError, match="policy= applies to sweep jobs only"):
+            api.run(job, workload=workload, policy=RetryPolicy())
+
     def test_workload_rejected_for_offline_jobs(self):
         from repro.sim.sweep import SweepJob
 

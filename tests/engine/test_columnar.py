@@ -9,11 +9,11 @@ from repro.engine.columnar import (
     TenantDistancePasses,
     check_tenant_ids,
     discretized_from_distances,
-    exact_discretized_curve,
     idle_curve,
     split_by_tenant,
     tenant_positions,
 )
+from tests.oracles import exact_discretized_curve
 
 
 def _composed(length=600, tenants=3, items=40, seed=11):

@@ -3,8 +3,7 @@
 The fixtures under ``tests/fixtures/golden/`` were recorded from the
 pre-engine code (before ``src/repro/engine/`` existed).  These tests hold
 the engine-backed experiment paths to *bit-identical* reproductions of
-those outputs — across ``workers`` counts and, for the online replay,
-across the ``batch`` and ``reference`` data planes.  JSON float round-trips
+those outputs across ``workers`` counts.  JSON float round-trips
 are exact (``repr`` ↔ parse), so every comparison is ``==``, never
 ``approx``.
 """
@@ -99,9 +98,8 @@ class TestGoldenPartition:
 
 
 class TestGoldenOnline:
-    @pytest.mark.parametrize("engine", ["batch", "reference"])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_replay_matches_recorded(self, engine, workers):
+    def test_replay_matches_recorded(self, workers):
         from repro import api
 
         knobs = GEN.ONLINE
@@ -115,7 +113,6 @@ class TestGoldenOnline:
             rate=knobs["rate"],
             name="golden",
             workers=workers,
-            engine=engine,
         )
         want = _fixture("online")
         assert GEN._jsonable(result.rows()) == want["rows"]

@@ -6,7 +6,7 @@ rows/summary — so refactors of the execution substrate can be held to
 bit-identical results.  They were first recorded from the pre-engine code
 (before ``src/repro/engine/`` existed); ``tests/engine/test_golden.py``
 asserts the engine-backed paths still reproduce them exactly, across
-``engine='reference'`` and batch modes and across worker counts.
+worker counts.
 
 Run from the repository root to regenerate after a *reviewed* behaviour
 change::
@@ -144,7 +144,7 @@ def golden_online() -> dict:
         rate=ONLINE["rate"],
         name="golden",
     )
-    result = run_replay(workload, job, workers=1, engine="batch")
+    result = run_replay(workload, job)
     return {
         "job": ONLINE,
         "rows": result.rows(),

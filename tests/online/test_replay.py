@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.online import OnlineJob, PartitionedLRU, run_replay
+from repro import api
+from repro.online import OnlineJob, run_replay
 from repro.trace.drift import tenant_churn, three_phase_pair
+from tests.oracles import PartitionedLRU
 
 # One moderate workload shared by the expensive end-to-end assertions.  The
 # phases span only ~6 epochs here, so the detector runs with hysteresis 1
@@ -26,6 +28,8 @@ def result(workload):
 
 
 class TestPartitionedLRU:
+    """The per-event oracle the replay's lanes are checked against."""
+
     def test_basic_hit_miss_accounting(self):
         sim = PartitionedLRU([2, 1])
         assert not sim.access(0, 10)
@@ -95,27 +99,14 @@ class TestReplayEndToEnd:
         assert summary["win_vs_static"] == pytest.approx(result.static_miss_ratio - result.adaptive_miss_ratio)
 
     def test_workers_never_change_results(self, workload, result):
-        parallel = run_replay(workload, JOB, workers=3)
+        parallel = api.run(JOB, workload=workload, workers=3)
         assert parallel.summary() == result.summary()
         assert parallel.rows() == result.rows()
-
-    def test_reference_engine_is_bit_identical(self, workload, result):
-        """The per-event OrderedDict data plane and the batch kernels must
-        agree on every epoch of every lane (and across worker counts)."""
-        reference = run_replay(workload, JOB, engine="reference", workers=2)
-        assert reference.rows() == result.rows()
-        assert reference.summary() == result.summary()
-        assert reference.static_allocation == result.static_allocation
-        assert reference.oracle_allocations == result.oracle_allocations
 
     def test_oracle_allocations_are_per_phase_and_respect_budget(self, workload, result):
         assert len(result.oracle_allocations) == workload.num_phases
         for allocation in result.oracle_allocations:
             assert sum(allocation) <= JOB.budget
-
-    def test_unknown_engine_rejected_before_any_work(self, workload):
-        with pytest.raises(ValueError):
-            run_replay(workload, JOB, engine="turbo")
 
 
 class TestTenantChurn:

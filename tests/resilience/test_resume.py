@@ -62,14 +62,6 @@ class TestReplayCheckpointing:
         assert resumed.summary() == baseline.summary()
         assert resumed == baseline
 
-    def test_resume_is_engine_faithful(self, workload, tmp_path):
-        reference = run_replay(workload, JOB, engine="reference")
-        plan = FaultPlan((FaultSpec(site="online.checkpoint", index=2, kind="error"),))
-        with install_faults(plan), pytest.raises(FaultInjected):
-            run_replay(workload, JOB, engine="reference", checkpoint_dir=tmp_path, checkpoint_every=1)
-        resumed = run_replay(workload, JOB, engine="reference", checkpoint_dir=tmp_path, resume=True)
-        assert resumed == reference
-
     def test_resume_against_empty_store_runs_fresh(self, workload, baseline, tmp_path):
         resumed = run_replay(workload, JOB, checkpoint_dir=tmp_path, resume=True)
         assert resumed == baseline
@@ -84,11 +76,11 @@ class TestReplayCheckpointing:
         with pytest.raises(CheckpointError, match="different run"):
             run_replay(workload, other, checkpoint_dir=tmp_path, resume=True)
 
-    def test_fingerprint_separates_engines_and_jobs(self, workload):
-        batch = replay_fingerprint(workload, JOB, "batch")
-        assert batch == replay_fingerprint(workload, JOB, "batch")
-        assert batch != replay_fingerprint(workload, JOB, "reference")
-        assert batch != replay_fingerprint(workload, OnlineJob(budget=241, window=1_000, epoch=400), "batch")
+    def test_fingerprint_separates_jobs_and_workloads(self, workload):
+        fingerprint = replay_fingerprint(workload, JOB)
+        assert fingerprint == replay_fingerprint(workload, JOB)
+        assert fingerprint != replay_fingerprint(workload, OnlineJob(budget=241, window=1_000, epoch=400))
+        assert fingerprint != replay_fingerprint(three_phase_pair(LENGTH_PER_PHASE, seed=8), JOB)
 
 
 class TestReplaySigkill:

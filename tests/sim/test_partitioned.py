@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.cache.stack_distance import COLD, StackDistanceStream, stack_distances_vectorized
-from repro.engine import PartitionedLRU, PrecomputedTenantDistances, TenantDistanceStreams
+from repro.engine import PrecomputedTenantDistances, TenantDistanceStreams
 from repro.sim.partitioned import BatchPartitionedLRU, partitioned_lru_segment, replay_partitioned
 from repro.trace import as_streaming
+from tests.oracles import PartitionedLRU
 
 
 class TestPartitionedLRUSegment:

@@ -14,12 +14,12 @@ This module pits them against each other:
 * the windowed-SHARDS sketch against the exact MRC on stationary traces
   (MAE ≤ 0.02);
 * the batch partitioned-LRU data plane (:mod:`repro.sim.partitioned`)
-  against the per-event ``OrderedDict`` reference on hypothesis-generated
+  against the per-event ``OrderedDict`` oracle on hypothesis-generated
   drifting traffic with random reallocation schedules (hits, misses,
   occupancies at shrink boundaries, per-segment counts), the chunked
   :class:`~repro.cache.stack_distance.StackDistanceStream` against the
-  whole-array pass, and the ``batch`` vs ``reference`` replay engines end to
-  end;
+  whole-array pass, and a whole online replay against its from-scratch
+  profiles and per-event lanes;
 * metamorphic properties: the optimal partition *value* is invariant under
   tenant order permutation, MRCs are monotone non-increasing in capacity,
   and a windowed profile of a concatenated trace with decay → 0 equals the
@@ -40,13 +40,13 @@ from repro.cache.mrc import mrc_from_trace
 from repro.cache.stack_distance import (
     COLD,
     StackDistanceStream,
-    stack_distances,
-    stack_distances_naive,
     stack_distances_vectorized,
     stack_distances_with_previous,
 )
+from repro.engine import TenantDistanceStreams
 from repro.obs import MetricsRegistry, recording
-from repro.online import OnlineJob, PartitionedLRU, WindowedShardsSketch, pooled_curve, run_replay
+from repro.online import OnlineJob, ReallocationController, WindowedShardsSketch, pooled_curve, run_replay
+from repro.online.replay import _initial_split
 from repro.profiling.accuracy import compare_curves
 from repro.sim.kernels import (
     _DEVIATE_SALT,
@@ -56,11 +56,20 @@ from repro.sim.kernels import (
     random_sweep_hits,
     set_associative_sweep_hits,
 )
-from repro.sim.partitioned import BatchPartitionedLRU, TenantDistanceStreams
+from repro.sim.partitioned import BatchPartitionedLRU
 from repro.sim.sweep import SweepJob, run_sweep
 from repro.trace import zipfian_trace
 from repro.trace.drift import three_phase_pair
 from repro.trace.tenancy import TenantSpec
+from tests.oracles import (
+    LANES,
+    PartitionedLRU,
+    exact_discretized_curve,
+    lane_schedule,
+    per_event_lane_misses,
+    stack_distances,
+    stack_distances_naive,
+)
 
 # --------------------------------------------------------------------------- #
 # Reference implementations and strategies
@@ -277,18 +286,51 @@ class TestPartitionedKernelDifferential:
                 assert not np.any(arr[prev + 1 : position] == arr[position])
 
 
-class TestReplayEngineDifferential:
-    def test_batch_and_reference_engines_agree_end_to_end(self):
-        """The full online run — profiles, detector, controller, all three
-        lanes — is bit-identical between the vectorised and per-event data
-        planes, per epoch and in aggregate."""
+class TestReplayOracleDifferential:
+    """A whole online run re-derived from scratch: the static and per-phase
+    allocations from profiles re-extracted from every raw tenant stream, and
+    the per-epoch miss ratios of all three lanes from per-event partitions
+    replaying the capacity schedules the run recorded."""
+
+    JOB = OnlineJob(budget=600, window=3000, epoch=1000, method="hull", rate=0.5)
+
+    @pytest.fixture(scope="class")
+    def replay(self):
         workload = three_phase_pair(3000, seed=7)
-        job = OnlineJob(budget=600, window=3000, epoch=1000, method="hull", rate=0.5)
-        batch = run_replay(workload, job)
-        reference = run_replay(workload, job, engine="reference")
-        assert batch.rows() == reference.rows()
-        assert batch.summary() == reference.summary()
-        assert batch.oracle_allocations == reference.oracle_allocations
+        return workload, run_replay(workload, self.JOB)
+
+    def test_allocations_match_from_scratch_profiles(self, replay):
+        (workload, result), job = replay, self.JOB
+        tenants = workload.composed.num_tenants
+        controller = ReallocationController(
+            budget=job.budget, method=job.method, unit=job.unit, move_cost=job.move_cost
+        )
+        static = [
+            exact_discretized_curve(workload.composed.tenant_trace(t), job.budget, job.unit) for t in range(tenants)
+        ]
+        assert tuple(controller.propose(static)) == result.static_allocation
+        for phase, recorded in enumerate(result.oracle_allocations):
+            curves = [
+                exact_discretized_curve(workload.tenant_phase_trace(t, phase), job.budget, job.unit)
+                for t in range(tenants)
+            ]
+            assert tuple(controller.propose(curves)) == recorded
+
+    def test_lane_series_match_per_event_partitions(self, replay):
+        (workload, result), job = replay, self.JOB
+        composed = workload.composed
+        allocations = {
+            "static": result.static_allocation,
+            "adaptive": _initial_split(composed.num_tenants, job.budget, job.unit),
+            "oracle": result.oracle_allocations[0],
+        }
+        schedule = lane_schedule(workload, result, job.epoch)
+        series = per_event_lane_misses(composed.trace.accesses, composed.tenant_ids, allocations, schedule)
+        lengths = [epoch.end - epoch.start for epoch in result.epochs]
+        assert result.reallocations >= 1  # the adaptive lane really resized
+        for lane in LANES:
+            recorded = [getattr(epoch, f"{lane}_miss_ratio") for epoch in result.epochs]
+            assert [misses / n for misses, n in zip(series[lane], lengths)] == recorded
 
 
 # --------------------------------------------------------------------------- #

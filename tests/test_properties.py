@@ -20,7 +20,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import LRUCache, hit_counts, stack_distances as trace_stack_distances
+from repro.cache import LRUCache, hit_counts
 from repro.core import (
     FenwickTree,
     Permutation,
@@ -50,6 +50,7 @@ from repro.core.feasibility import (
     is_feasible,
 )
 from repro.trace import PeriodicTrace
+from tests.oracles import stack_distances as trace_stack_distances
 
 
 # --------------------------------------------------------------------------- #
